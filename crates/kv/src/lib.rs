@@ -20,7 +20,8 @@
 //!   enabled during benchmark runs (unlike the full trace recorder).
 //! * [`ShardedStore`] — hash-partitions the keyspace across N inner
 //!   stores so independent shard locks, WALs, and background workers can
-//!   use multiple cores; batches split per shard and apply in parallel.
+//!   use multiple cores; batches split per shard and apply on the
+//!   caller's thread, overlapping across threads only when shards fsync.
 //!   Routing goes through a pluggable [`Router`] (by default the
 //!   versioned [`SlotTable`]), and the topology can change *live*:
 //!   [`ShardedStore::split_shard`] / [`ShardedStore::migrate_slots`]

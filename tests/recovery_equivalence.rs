@@ -15,6 +15,8 @@
 //!    never-crashed twin that stopped at the checkpoint — regardless of
 //!    what the original store did afterwards.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -29,16 +31,41 @@ const BATCH_SIZES: [usize; 2] = [1, 64];
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 const KEYS: u8 = 16;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(format!(
-        "{name}-{}",
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
+/// A directory of its own for one proptest case, removed when the case
+/// ends (pass or panic), so cases and tests running in parallel never
+/// share or delete each other's files.
+struct CaseDir {
+    root: PathBuf,
+    next: AtomicUsize,
+}
+
+impl CaseDir {
+    fn new(test: &str) -> Self {
+        static CASES: AtomicUsize = AtomicUsize::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "gadget-recovery-eq-{}-{test}-{}",
+            std::process::id(),
+            CASES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        CaseDir {
+            root,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// A fresh, not yet created path inside the case directory.
+    fn path(&self, name: &str) -> PathBuf {
+        let n = self.next.fetch_add(1, Ordering::Relaxed);
+        self.root.join(format!("{name}-{n}"))
+    }
+}
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
 }
 
 /// (kind, key, payload length) triples decoded into ops; payload bytes
@@ -98,8 +125,8 @@ fn sync_wal_cfg(shard: Option<u64>) -> LsmConfig {
 }
 
 /// Property 1: crash + WAL replay recovers exactly the applied prefix.
-fn check_crash_prefix(ops: &[Op], shards: usize, batch: usize) {
-    let base = tmp(&format!("crash-{shards}-{batch}"));
+fn check_crash_prefix(dir: &CaseDir, ops: &[Op], shards: usize, batch: usize) {
+    let base = dir.path(&format!("crash-{shards}-{batch}"));
     let dirs: Vec<_> = (0..shards)
         .map(|i| base.join(format!("shard-{i}")))
         .collect();
@@ -150,6 +177,7 @@ fn check_crash_prefix(ops: &[Op], shards: usize, batch: usize) {
 /// Property 2: checkpoint/restore equals a never-crashed twin stopped
 /// at the checkpoint, regardless of post-checkpoint activity.
 fn check_checkpoint_roundtrip<S: StateStore>(
+    dir: &CaseDir,
     mk: impl Fn(&str) -> S,
     ops: &[Op],
     batch: usize,
@@ -160,7 +188,7 @@ fn check_checkpoint_roundtrip<S: StateStore>(
     for chunk in ops[..checkpoint_at].chunks(batch) {
         original.apply_batch(chunk).unwrap();
     }
-    let ckpt = tmp(&format!("ckpt-{label}-{batch}"));
+    let ckpt = dir.path(&format!("ckpt-{label}-{batch}"));
     original.checkpoint(&ckpt).unwrap();
     // Post-checkpoint writes must not leak into the restored state.
     for chunk in ops[checkpoint_at..].chunks(batch) {
@@ -181,38 +209,40 @@ proptest! {
 
     #[test]
     fn sync_wal_crash_recovers_exactly_the_acknowledged_prefix(ops in op_seq()) {
+        let dir = CaseDir::new("crash");
         for shards in SHARD_COUNTS {
             for batch in BATCH_SIZES {
-                check_crash_prefix(&ops, shards, batch);
+                check_crash_prefix(&dir, &ops, shards, batch);
             }
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id())),
-        );
     }
 
     #[test]
     fn checkpoint_restore_equals_never_crashed_twin(ops in op_seq()) {
+        let dir = CaseDir::new("checkpoint");
         for batch in BATCH_SIZES {
             check_checkpoint_roundtrip(
+                &dir,
                 |tag| {
-                    let dir = tmp(&format!("lsm-{tag}"));
-                    std::fs::create_dir_all(&dir).unwrap();
-                    LsmStore::open(&dir, sync_wal_cfg(None)).unwrap()
+                    let path = dir.path(&format!("lsm-{tag}"));
+                    std::fs::create_dir_all(&path).unwrap();
+                    LsmStore::open(&path, sync_wal_cfg(None)).unwrap()
                 },
                 &ops,
                 batch,
                 "lsm",
             );
             check_checkpoint_roundtrip(
+                &dir,
                 |_| HashLogStore::new(HashLogConfig::small()),
                 &ops,
                 batch,
                 "hashlog",
             );
             check_checkpoint_roundtrip(
+                &dir,
                 |tag| {
-                    BTreeStore::open(tmp(&format!("btree-{tag}.db")), BTreeConfig::small())
+                    BTreeStore::open(dir.path(&format!("btree-{tag}.db")), BTreeConfig::small())
                         .unwrap()
                 },
                 &ops,
@@ -220,8 +250,5 @@ proptest! {
                 "btree",
             );
         }
-        let _ = std::fs::remove_dir_all(
-            std::env::temp_dir().join(format!("gadget-recovery-eq-{}", std::process::id())),
-        );
     }
 }
