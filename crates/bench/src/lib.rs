@@ -397,6 +397,14 @@ impl StateStore for SharedStore {
     fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
         self.0.metrics()
     }
+    // Forwarded so a sharded store over wrapped shards still overlaps
+    // their round trips.
+    fn durability(&self) -> gadget_kv::Durability {
+        self.0.durability()
+    }
+    fn batch_waits_off_cpu(&self) -> bool {
+        self.0.batch_waits_off_cpu()
+    }
 }
 
 /// Formats a ratio as a fixed-width percentage-like fraction.

@@ -506,6 +506,14 @@ impl gadget_kv::StateStore for ArcStore {
     fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
         self.0.metrics()
     }
+    // Forwarded so a sharded store over wrapped shards still overlaps
+    // their round trips.
+    fn durability(&self) -> gadget_kv::Durability {
+        self.0.durability()
+    }
+    fn batch_waits_off_cpu(&self) -> bool {
+        self.0.batch_waits_off_cpu()
+    }
 }
 
 fn print_report(report: &gadget_replay::RunReport) {
@@ -3105,6 +3113,40 @@ mod tests {
         assert!(dispatch(&strs(&["report"])).is_err());
         assert!(dispatch(&strs(&["report", "frob"])).is_err());
         assert!(dispatch(&strs(&["report", "show"])).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sharded_labels_overlap_only_shards_that_wait_off_cpu() {
+        let dir = std::env::temp_dir().join(format!("gadget-cli-wait-{}", std::process::id()));
+        let server = gadget_server::Server::start(
+            "127.0.0.1:0",
+            std::sync::Arc::new(gadget_kv::MemStore::new()),
+            gadget_server::ServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().to_string();
+        let sync_wal = gadget_kv::Durability::WalBacked { sync: true };
+        for (label, waits) in [
+            ("mem", false),
+            ("faster-class", false),
+            ("berkeleydb-class", false),
+            ("rocksdb-class", false),
+            ("rocksdb-small", true),
+            ("remote-faster-class", true),
+            ("remote-rocksdb-small", true),
+            (&format!("net:{addr}"), true),
+        ] {
+            let shard_dir = dir.join(label.replace(':', "_"));
+            let store = open_store_sharded(label, shard_dir.to_str(), 2).unwrap();
+            assert_eq!(store.batch_waits_off_cpu(), waits, "{label}");
+            if label.ends_with("rocksdb-small") {
+                // The remote wrapper reaches the LSM through `ArcStore`.
+                assert_eq!(store.durability(), sync_wal, "{label}");
+            }
+        }
+        dispatch(&strs(&["stop", "--addr", &addr])).unwrap();
+        server.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

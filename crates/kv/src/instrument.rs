@@ -128,6 +128,10 @@ impl<S: StateStore> StateStore for InstrumentedStore<S> {
         self.inner.durability()
     }
 
+    fn batch_waits_off_cpu(&self) -> bool {
+        self.inner.batch_waits_off_cpu()
+    }
+
     // Lifecycle calls pass through unrecorded: they are not state
     // accesses, so they must not appear in the trace.
     fn checkpoint(

@@ -165,6 +165,10 @@ impl<S: StateStore> StateStore for ObservedStore<S> {
         self.inner.durability()
     }
 
+    fn batch_waits_off_cpu(&self) -> bool {
+        self.inner.batch_waits_off_cpu()
+    }
+
     fn checkpoint(
         &self,
         dir: &std::path::Path,

@@ -171,6 +171,12 @@ impl<S: StateStore> StateStore for RemoteStore<S> {
         self.inner.durability()
     }
 
+    /// Every batch pays a simulated round trip, whatever the inner
+    /// store does: the busy-wait stands in for a wait on the network.
+    fn batch_waits_off_cpu(&self) -> bool {
+        true
+    }
+
     fn checkpoint(
         &self,
         dir: &std::path::Path,

@@ -158,6 +158,17 @@ pub trait StateStore: Send + Sync {
         Durability::Ephemeral
     }
 
+    /// Whether every [`StateStore::apply_batch`] call waits off the CPU
+    /// for a device or network round trip: an fsync, or a request and
+    /// its reply on a socket. A caller holding sub-batches for several
+    /// such stores overlaps them on threads; for stores that only
+    /// compute and touch memory the hand-off costs more than the work.
+    /// An occasional wait (a write stall, a page miss) does not count.
+    /// Defaults to `false`; decorators forward it.
+    fn batch_waits_off_cpu(&self) -> bool {
+        false
+    }
+
     /// Writes a point-in-time snapshot of the store's state into `dir`,
     /// returning the manifest describing it.
     ///

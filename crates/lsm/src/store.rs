@@ -965,6 +965,12 @@ impl StateStore for LsmStore {
         }
     }
 
+    /// A sync-WAL batch group-commits with one fsync. An async WAL only
+    /// copies into the OS page cache, and a write stall is occasional.
+    fn batch_waits_off_cpu(&self) -> bool {
+        self.inner.config.wal && self.inner.config.wal_sync
+    }
+
     fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
         self.checkpoint_impl(dir)
     }

@@ -533,6 +533,12 @@ impl StateStore for NetStore {
         Durability::SnapshotOnly
     }
 
+    /// Each batch is one blocking request/reply on the socket, and the
+    /// server behind it may fsync before it answers.
+    fn batch_waits_off_cpu(&self) -> bool {
+        true
+    }
+
     /// Checkpoints the *server-side* store into a server-local `dir`.
     /// The returned manifest is the wire summary (one aggregate entry);
     /// the authoritative manifest lives next to the checkpoint files on
