@@ -9,34 +9,26 @@
 //! Greppable verdict (CI gate): `batch_sweep: PASS` when batch-64 put
 //! throughput on the sync-WAL LSM is at least 5x the op-by-op baseline.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use gadget_bench::all_stores;
+use gadget_bench::store::StoreDir;
 use gadget_kv::StateStore;
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_types::Op;
 
 /// A sync-WAL LSM in a fresh temp dir. The memtable is large enough that
 /// flushes never fire during the sweep: the fsync path is what's measured.
-fn sync_lsm(tag: &str) -> (PathBuf, LsmStore) {
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-batch-sweep-{tag}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+fn sync_lsm() -> (StoreDir, LsmStore) {
+    let dir = StoreDir::new(None).expect("create temp dir");
     let cfg = LsmConfig {
         wal_sync: true,
         memtable_bytes: 256 << 20,
         ..LsmConfig::paper_rocksdb()
     };
-    let store = LsmStore::open(&dir, cfg).expect("open lsm");
+    let store = LsmStore::open(dir.path(), cfg).expect("open lsm");
     (dir, store)
 }
 
@@ -53,7 +45,7 @@ fn bench_batch_sizes(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_sweep");
     group.sample_size(10);
     for &batch in &[1usize, 8, 64, 512] {
-        let (dir, store) = sync_lsm(&format!("b{batch}"));
+        let (dir, store) = sync_lsm();
         let mut next = 0u64;
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_function(format!("lsm_sync_put_batch_{batch}"), |b| {
@@ -63,7 +55,7 @@ fn bench_batch_sizes(c: &mut Criterion) {
             })
         });
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
     }
     group.finish();
 }
@@ -96,7 +88,7 @@ fn verdict_group_commit_speedup(_c: &mut Criterion) {
     const OPS_PER_ROUND: usize = 500;
     const ROUNDS: usize = 5;
     const BATCH: usize = 64;
-    let (dir, store) = sync_lsm("verdict");
+    let (dir, store) = sync_lsm();
     let mut next = 0u64;
     let mut serial_ns = f64::INFINITY;
     let mut batched_ns = f64::INFINITY;
@@ -119,7 +111,7 @@ fn verdict_group_commit_speedup(_c: &mut Criterion) {
         "batch64-put",
     );
     drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
     let ratio = serial_ns / batched_ns;
     println!(
         "batch_sweep sync-WAL puts: op-by-op {serial_ns:.0} ns/op, \

@@ -15,12 +15,12 @@
 //! than 4 CPUs that miss the target print `shard_sweep: SKIP` instead —
 //! the sweep numbers are still reported.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use gadget_bench::store::StoreDir;
 use gadget_kv::{ShardedStore, StateStore, StoreError};
 use gadget_lsm::{LsmConfig, LsmStore};
 use gadget_types::Op;
@@ -34,16 +34,9 @@ const BATCH: usize = 256;
 /// A `shards`-way sharded sync-WAL LSM; each shard flushes into its own
 /// subdirectory. Memtables are large enough that flushes never fire
 /// during the sweep: the fsync path is what's measured.
-fn sharded_sync_lsm(tag: &str, shards: usize) -> (PathBuf, ShardedStore) {
-    let base = std::env::temp_dir().join(format!(
-        "gadget-shard-sweep-{tag}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    let factory_base = base.clone();
+fn sharded_sync_lsm(shards: usize) -> (StoreDir, ShardedStore) {
+    let dir = StoreDir::new(None).expect("create temp dir");
+    let factory_base = dir.path().to_path_buf();
     let store = ShardedStore::from_factory(shards, move |shard| {
         let dir = factory_base.join(format!("shard-{shard}"));
         std::fs::create_dir_all(&dir).map_err(StoreError::Io)?;
@@ -56,7 +49,7 @@ fn sharded_sync_lsm(tag: &str, shards: usize) -> (PathBuf, ShardedStore) {
         Ok(Arc::new(LsmStore::open(&dir, cfg)?) as Arc<dyn StateStore>)
     })
     .expect("open sharded lsm");
-    (base, store)
+    (dir, store)
 }
 
 fn put_batch(next: &mut u64, len: usize) -> Vec<Op> {
@@ -72,7 +65,7 @@ fn bench_shard_counts(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_sweep");
     group.sample_size(10);
     for &shards in &SHARD_SWEEP {
-        let (dir, store) = sharded_sync_lsm(&format!("s{shards}"), shards);
+        let (dir, store) = sharded_sync_lsm(shards);
         let mut next = 0u64;
         group.throughput(Throughput::Elements(BATCH as u64));
         group.bench_function(format!("lsm_sync_put_shards_{shards}"), |b| {
@@ -82,7 +75,7 @@ fn bench_shard_counts(c: &mut Criterion) {
             })
         });
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
     }
     group.finish();
 }
@@ -104,8 +97,8 @@ fn verdict_shard_speedup(_c: &mut Criterion) {
     const OPS_PER_ROUND: usize = 2_048;
     const ROUNDS: usize = 5;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (dir1, single) = sharded_sync_lsm("verdict1", 1);
-    let (dir4, quad) = sharded_sync_lsm("verdict4", 4);
+    let (dir1, single) = sharded_sync_lsm(1);
+    let (dir4, quad) = sharded_sync_lsm(4);
     let mut next = 0u64;
     let mut single_ns = f64::INFINITY;
     let mut quad_ns = f64::INFINITY;
@@ -124,10 +117,8 @@ fn verdict_shard_speedup(_c: &mut Criterion) {
         1,
     );
     emit_bench_report(&quad, put_batch(&mut next, OPS_PER_ROUND), "shard4-put", 4);
-    drop(single);
-    drop(quad);
-    let _ = std::fs::remove_dir_all(&dir1);
-    let _ = std::fs::remove_dir_all(&dir4);
+    drop((single, quad));
+    drop((dir1, dir4));
     let ratio = single_ns / quad_ns;
     println!(
         "shard_sweep sync-WAL puts (batch {BATCH}): 1 shard {single_ns:.0} ns/op, \

@@ -13,16 +13,15 @@
 //! `SweepReport` that `gadget report show` renders and
 //! `gadget report compare` gates across revisions.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
-use gadget_kv::{MemStore, ShardedStore, StateStore};
-use gadget_lsm::{LsmConfig, LsmStore};
+use gadget_kv::{MemStore, StateStore};
 use gadget_replay::{run_sweep, ReplayOptions, SweepOptions, TraceReplayer};
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
 use serde::Serialize;
 
-use crate::{fresh_dir, kops, print_table, us, Scale, SharedStore};
+use crate::store::{Backend, StoreDir, StoreSpec};
+use crate::{kops, print_table, us, Scale};
 
 /// One rung of one store's curve.
 #[derive(Debug, Serialize)]
@@ -65,24 +64,12 @@ type Subject = (&'static str, u64, Arc<dyn StateStore>);
 
 /// The two curve subjects: a keyspace store with no I/O at all, and a
 /// shard-parallel LSM doing real compaction work. Returns the LSM's
-/// scratch directory so the caller can clean it up once both sweeps
-/// are done.
-fn subjects(shrink: usize) -> (Vec<Subject>, PathBuf) {
-    let shrink = shrink.max(1);
-    let lsm_dir = fresh_dir("ext-sweep-lsm");
-    let factory_dir = lsm_dir.clone();
-    let sharded = ShardedStore::from_factory(4, move |shard| {
-        let cfg = LsmConfig {
-            memtable_bytes: (128 << 20) / shrink,
-            block_cache_bytes: (64 << 20) / shrink,
-            l1_target_bytes: ((256 << 20) / shrink) as u64,
-            target_file_bytes: (64 << 20) / shrink,
-            ..LsmConfig::paper_rocksdb()
-        };
-        LsmStore::open(factory_dir.join(format!("shard-{shard}")), cfg)
-            .map(|s| Arc::new(s) as Arc<dyn StateStore>)
-    })
-    .expect("open sharded lsm");
+/// scratch directory, removed when dropped once both sweeps are done.
+fn subjects(shrink: usize) -> (Vec<Subject>, StoreDir) {
+    let lsm_dir = StoreDir::new(None).expect("create temp dir");
+    let sharded = StoreSpec::Embedded(Backend::RocksDb)
+        .open_sharded(lsm_dir.path(), 4, shrink)
+        .expect("open sharded lsm");
     (
         vec![
             ("mem", 1, Arc::new(MemStore::new())),
@@ -98,13 +85,12 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
     let cfg = YcsbConfig::core(CoreWorkload::A, 1_000, opts.ops_per_step);
     let trace = cfg.generate();
     let mut rows = Vec::new();
-    let (stores, lsm_dir) = subjects(64);
+    let (stores, _lsm_dir) = subjects(64);
     for (label, shards, store) in stores {
-        let shared = SharedStore(store.clone());
         TraceReplayer::new(ReplayOptions::default())
-            .preload(&shared, cfg.preload_keys(), cfg.value_size)
+            .preload(store.as_ref(), cfg.preload_keys(), cfg.value_size)
             .expect("preload");
-        let outcome = run_sweep(&trace, &shared, "ycsb-a", &opts, None).expect("sweep");
+        let outcome = run_sweep(&trace, store.as_ref(), "ycsb-a", &opts, None).expect("sweep");
         let knee_rate = outcome.knee.map(|k| outcome.steps[k].offered);
         for step in &outcome.steps {
             rows.push(Row {
@@ -134,7 +120,6 @@ pub fn compute(scale: &Scale) -> Vec<Row> {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&lsm_dir);
     rows
 }
 

@@ -3,7 +3,8 @@
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it (see DESIGN.md §5 for the index). This
 //! library provides what they share: the store zoo, scale flags, table
-//! printing, and JSON result dumps.
+//! printing, and JSON result dumps. The store zoo ([`store`]) is also the
+//! `gadget` CLI's: one label table for every entry point.
 //!
 //! Scale note: the binaries default to CI-friendly sizes (hundreds of
 //! thousands of events) rather than the paper's server-scale runs; pass
@@ -14,10 +15,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gadget_btree::{BTreeConfig, BTreeStore};
-use gadget_hashlog::{HashLogConfig, HashLogStore};
 use gadget_kv::StateStore;
-use gadget_lsm::{LsmConfig, LsmStore};
+
+pub mod experiments;
+pub mod store;
+
+use store::{StoreDir, StoreSpec};
 
 /// Command-line scale options shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -113,93 +116,24 @@ pub struct StoreInstance {
     pub label: &'static str,
     /// The store.
     pub store: Arc<dyn StateStore>,
-    dir: Option<PathBuf>,
+    _dir: StoreDir,
 }
 
-impl Drop for StoreInstance {
-    fn drop(&mut self) {
-        if let Some(dir) = self.dir.take() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn fresh_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "gadget-bench-{label}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before epoch")
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Builds one store of the zoo by label.
-///
-/// Store memory budgets follow the paper's setup (§6): RocksDB/Lethe with
-/// 128 MiB memtables + 64 MiB cache, BerkeleyDB with a 256 MiB cache,
-/// FASTER with a 256 MiB log region — scaled down by `shrink` (1 = paper
-/// sizes) so CI machines are not required to hold gigabytes.
+/// Builds one in-process store of the zoo by label (aliases accepted)
+/// in a fresh directory under the temp dir, with every memory budget
+/// divided by `shrink` (see [`store`]).
 pub fn build_store(label: &str, shrink: usize) -> StoreInstance {
-    let shrink = shrink.max(1);
-    match label {
-        "rocksdb-class" => {
-            let dir = fresh_dir(label);
-            let cfg = LsmConfig {
-                memtable_bytes: (128 << 20) / shrink,
-                block_cache_bytes: (64 << 20) / shrink,
-                l1_target_bytes: ((256 << 20) / shrink) as u64,
-                target_file_bytes: (64 << 20) / shrink,
-                ..LsmConfig::paper_rocksdb()
-            };
-            StoreInstance {
-                label: "rocksdb-class",
-                store: Arc::new(LsmStore::open(&dir, cfg).expect("open lsm")),
-                dir: Some(dir),
-            }
-        }
-        "lethe-class" => {
-            let dir = fresh_dir(label);
-            let cfg = LsmConfig {
-                memtable_bytes: (128 << 20) / shrink,
-                block_cache_bytes: (64 << 20) / shrink,
-                l1_target_bytes: ((256 << 20) / shrink) as u64,
-                target_file_bytes: (64 << 20) / shrink,
-                ..LsmConfig::paper_lethe()
-            };
-            StoreInstance {
-                label: "lethe-class",
-                store: Arc::new(LsmStore::open(&dir, cfg).expect("open lethe")),
-                dir: Some(dir),
-            }
-        }
-        "faster-class" => {
-            let cfg = HashLogConfig {
-                mutable_bytes: (64 << 20) / shrink / 64,
-                ..HashLogConfig::default()
-            };
-            StoreInstance {
-                label: "faster-class",
-                store: Arc::new(HashLogStore::new(cfg)),
-                dir: None,
-            }
-        }
-        "berkeleydb-class" => {
-            let dir = fresh_dir(label);
-            let cfg = BTreeConfig {
-                page_cache_bytes: (256 << 20) / shrink,
-                ..BTreeConfig::default()
-            };
-            StoreInstance {
-                label: "berkeleydb-class",
-                store: Arc::new(BTreeStore::open(dir.join("data.db"), cfg).expect("open btree")),
-                dir: Some(dir),
-            }
-        }
-        other => panic!("unknown store label {other}"),
+    let Ok(StoreSpec::Embedded(backend)) = StoreSpec::parse(label) else {
+        panic!("unknown store label {label}");
+    };
+    let dir = StoreDir::new(None).expect("create temp dir");
+    let store = StoreSpec::Embedded(backend)
+        .open(dir.path(), None, shrink)
+        .unwrap_or_else(|e| panic!("open {label}: {e}"));
+    StoreInstance {
+        label: backend.label(),
+        store,
+        _dir: dir,
     }
 }
 
@@ -346,67 +280,6 @@ pub fn bench_reports_dir() -> PathBuf {
         .join("results/reports")
 }
 
-/// Adapter: lets an `Arc<dyn StateStore>` zoo handle be wrapped by
-/// decorators that take ownership of a concrete store (notably
-/// `ObservedStore` when an experiment runs with `--trace`).
-pub struct SharedStore(pub Arc<dyn StateStore>);
-
-impl StateStore for SharedStore {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>, gadget_kv::StoreError> {
-        self.0.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.put(key, value)
-    }
-    fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.merge(key, operand)
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.delete(key)
-    }
-    fn scan(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-    ) -> Result<Vec<(bytes::Bytes, bytes::Bytes)>, gadget_kv::StoreError> {
-        self.0.scan(lo, hi)
-    }
-    fn supports_scan(&self) -> bool {
-        self.0.supports_scan()
-    }
-    fn supports_merge(&self) -> bool {
-        self.0.supports_merge()
-    }
-    fn flush(&self) -> Result<(), gadget_kv::StoreError> {
-        self.0.flush()
-    }
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.0.internal_counters()
-    }
-    // Must forward: the trait default would silently degrade batches to
-    // op-by-op, hiding the inner store's native group-commit path.
-    fn apply_batch(
-        &self,
-        batch: &[gadget_types::Op],
-    ) -> Result<Vec<gadget_kv::BatchResult>, gadget_kv::StoreError> {
-        self.0.apply_batch(batch)
-    }
-    fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
-        self.0.metrics()
-    }
-    // Forwarded so a sharded store over wrapped shards still overlaps
-    // their round trips.
-    fn durability(&self) -> gadget_kv::Durability {
-        self.0.durability()
-    }
-    fn batch_waits_off_cpu(&self) -> bool {
-        self.0.batch_waits_off_cpu()
-    }
-}
-
 /// Formats a ratio as a fixed-width percentage-like fraction.
 pub fn fr(x: f64) -> String {
     format!("{x:.3}")
@@ -454,4 +327,3 @@ mod tests {
         assert_eq!(us(1_500), "1.5");
     }
 }
-pub mod experiments;

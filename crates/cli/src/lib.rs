@@ -15,18 +15,18 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gadget_analysis::{
     key_sequence, stack_distances, ttl_distribution, unique_sequences, working_set,
     working_set_series,
 };
+use gadget_bench::store::{Backend, OpenStore, StoreDir, StoreSpec};
 use gadget_core::GadgetConfig;
 use gadget_kv::StateStore;
 use gadget_obs::{MetricsSeries, SharedSnapshot, SnapshotEmitter};
 use gadget_replay::{
-    run_online_observed_with, run_online_with, run_sweep, ArrivalMode, RateStep, ReplayOptions,
-    SweepOptions, TraceReplayer,
+    run_online, run_sweep, ArrivalMode, RateStep, ReplayOptions, SweepOptions, TraceReplayer,
 };
 use gadget_types::{OpType, Trace};
 use gadget_ycsb::{CoreWorkload, YcsbConfig};
@@ -237,141 +237,15 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves the working directory for a store (or a temp dir).
-fn store_dir(dir: Option<&str>) -> PathBuf {
-    match dir {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("gadget-cli-{}", std::process::id())),
-    }
-}
-
-/// Builds a store by bench-zoo label in `dir` (or a temp dir).
-fn open_store(
-    label: &str,
-    dir: Option<&str>,
-) -> Result<std::sync::Arc<dyn gadget_kv::StateStore>, String> {
-    open_store_at(label, &store_dir(dir), None)
-}
-
-/// Builds a store by label, optionally hash-partitioned: with
-/// `shards > 1` the keyspace splits across `shards` instances of the
-/// labelled store behind a [`gadget_kv::ShardedStore`], each shard in
-/// its own `shard-<i>` subdirectory with independent WAL, memtables,
-/// SSTables, and background threads.
-fn open_store_sharded(
-    label: &str,
-    dir: Option<&str>,
-    shards: usize,
-) -> Result<std::sync::Arc<dyn gadget_kv::StateStore>, String> {
-    let (store, _) = open_store_maybe_sharded(label, dir, shards)?;
-    Ok(store)
-}
-
-/// [`open_store_sharded`], also handing back the concrete
-/// [`ShardedStore`] when one was built — the handle live topology
-/// changes (`--reshard-at`, the server's `reshard` frame) operate on.
-/// `None` for unsharded stores. The retained factory is `'static`
-/// (owned label and base dir), so `split_shard` can build brand-new
-/// shards — each in its own `shard-<i>` subdirectory — long after this
-/// function returns.
-type MaybeSharded = (
-    std::sync::Arc<dyn gadget_kv::StateStore>,
-    Option<std::sync::Arc<gadget_kv::ShardedStore>>,
-);
-
-fn open_store_maybe_sharded(
-    label: &str,
-    dir: Option<&str>,
-    shards: usize,
-) -> Result<MaybeSharded, String> {
-    if shards <= 1 {
-        return Ok((open_store(label, dir)?, None));
-    }
-    let base = store_dir(dir);
-    let label = label.to_string();
-    let sharded = gadget_kv::ShardedStore::from_factory(shards, move |shard| {
-        open_store_at(
-            &label,
-            &base.join(format!("shard-{shard}")),
-            Some(shard as u64),
-        )
-        .map_err(gadget_kv::StoreError::InvalidArgument)
-    })
-    .map_err(|e| e.to_string())?;
-    let sharded = std::sync::Arc::new(sharded);
-    Ok((sharded.clone(), Some(sharded)))
-}
-
-/// Builds one store instance in exactly `dir`. `shard` tags LSM
-/// instances with their shard id (worker-thread name + trace spans).
-fn open_store_at(
-    label: &str,
-    dir: &std::path::Path,
-    shard: Option<u64>,
-) -> Result<std::sync::Arc<dyn gadget_kv::StateStore>, String> {
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let lsm_cfg = |cfg: gadget_lsm::LsmConfig| match shard {
-        Some(s) => cfg.with_shard_id(s),
-        None => cfg,
-    };
-    let store: std::sync::Arc<dyn gadget_kv::StateStore> = match label {
-        "rocksdb-class" => std::sync::Arc::new(
-            gadget_lsm::LsmStore::open(dir, lsm_cfg(gadget_lsm::LsmConfig::paper_rocksdb()))
-                .map_err(|e| e.to_string())?,
-        ),
-        "lethe-class" => std::sync::Arc::new(
-            gadget_lsm::LsmStore::open(dir, lsm_cfg(gadget_lsm::LsmConfig::paper_lethe()))
-                .map_err(|e| e.to_string())?,
-        ),
-        "faster-class" => std::sync::Arc::new(gadget_hashlog::HashLogStore::new(
-            gadget_hashlog::HashLogConfig::default(),
-        )),
-        "berkeleydb-class" => std::sync::Arc::new(
-            gadget_btree::BTreeStore::open(
-                dir.join("data.db"),
-                gadget_btree::BTreeConfig::default(),
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        // A shrunk LSM (tiny memtable/cache, synchronous WAL) whose
-        // flushes, compactions, fsyncs, and cache fills all fire within
-        // a few thousand operations — the store to use for traced smoke
-        // runs where the paper-scale config would never leave memory.
-        "rocksdb-small" => std::sync::Arc::new(
-            gadget_lsm::LsmStore::open(
-                dir,
-                lsm_cfg(gadget_lsm::LsmConfig {
-                    wal_sync: true,
-                    ..gadget_lsm::LsmConfig::small()
-                }),
-            )
-            .map_err(|e| e.to_string())?,
-        ),
-        "mem" => std::sync::Arc::new(gadget_kv::MemStore::new()),
-        other => {
-            // `net:<addr>` dials a running gadget-server: a *real*
-            // network store, so replay/online/concurrent measure actual
-            // wire latency. With `--shards N` this opens N connections.
-            if let Some(addr) = other.strip_prefix("net:") {
-                return Ok(std::sync::Arc::new(
-                    gadget_server::NetStore::connect(addr).map_err(|e| e.to_string())?,
-                ));
-            }
-            // `remote-<label>` wraps any embedded store behind a synthetic
-            // datacenter network (paper §8, external state management).
-            if let Some(inner_label) = other.strip_prefix("remote-") {
-                let inner = open_store_at(inner_label, dir, shard)?;
-                return Ok(std::sync::Arc::new(gadget_kv::RemoteStore::new(
-                    ArcStore(inner),
-                    gadget_kv::NetworkProfile::datacenter(),
-                )));
-            }
-            return Err(format!(
-                "unknown store {other}; run `gadget stores` for the list"
-            ));
-        }
-    };
-    Ok(store)
+/// Opens the store `label` names (see [`gadget_bench::store`]) in
+/// `--dir`, or in a scratch directory removed when the returned value
+/// drops, hash-partitioned across `--shards` instances when that is
+/// 2 or more.
+fn open_store(label: &str, flags: &Flags) -> Result<OpenStore, String> {
+    let spec = StoreSpec::parse(label).map_err(|e| e.to_string())?;
+    let shards = shard_count(flags)?;
+    let dir = StoreDir::new(flags.optional("dir").map(Path::new)).map_err(|e| e.to_string())?;
+    spec.open_in(dir, shards).map_err(|e| e.to_string())
 }
 
 /// Replay options shared by `replay`/`online`/`concurrent`/`drive`:
@@ -435,84 +309,12 @@ fn start_metrics_endpoint(
     Ok(endpoint)
 }
 
-/// How a run's operations reached the store, for report provenance:
-/// `"tcp"` when the label dials a gadget-server, `"embedded"` for
-/// in-process stores (including the simulated `remote-*` wrappers,
-/// which never leave the process).
-fn transport_for_label(label: &str) -> &'static str {
-    if label.starts_with("net:") {
-        "tcp"
-    } else {
-        "embedded"
-    }
-}
-
 /// `--shards` (default 1 = unsharded).
 fn shard_count(flags: &Flags) -> Result<usize, String> {
     match flags.optional_parse("shards")? {
         Some(0) => Err("--shards must be at least 1".to_string()),
         Some(n) => Ok(n),
         None => Ok(1),
-    }
-}
-
-/// Adapter: lets an `Arc<dyn StateStore>` be wrapped by decorators that
-/// take ownership of a concrete store.
-struct ArcStore(std::sync::Arc<dyn gadget_kv::StateStore>);
-
-impl gadget_kv::StateStore for ArcStore {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>, gadget_kv::StoreError> {
-        self.0.get(key)
-    }
-    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.put(key, value)
-    }
-    fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.merge(key, operand)
-    }
-    fn delete(&self, key: &[u8]) -> Result<(), gadget_kv::StoreError> {
-        self.0.delete(key)
-    }
-    fn scan(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-    ) -> Result<Vec<(bytes::Bytes, bytes::Bytes)>, gadget_kv::StoreError> {
-        self.0.scan(lo, hi)
-    }
-    fn supports_scan(&self) -> bool {
-        self.0.supports_scan()
-    }
-    fn supports_merge(&self) -> bool {
-        self.0.supports_merge()
-    }
-    fn flush(&self) -> Result<(), gadget_kv::StoreError> {
-        self.0.flush()
-    }
-    fn internal_counters(&self) -> Vec<(String, u64)> {
-        self.0.internal_counters()
-    }
-    // Must forward: the trait default would silently degrade batches to
-    // op-by-op, hiding the inner store's native group-commit path.
-    fn apply_batch(
-        &self,
-        batch: &[gadget_types::Op],
-    ) -> Result<Vec<gadget_kv::BatchResult>, gadget_kv::StoreError> {
-        self.0.apply_batch(batch)
-    }
-    fn metrics(&self) -> Option<gadget_obs::MetricsSnapshot> {
-        self.0.metrics()
-    }
-    // Forwarded so a sharded store over wrapped shards still overlaps
-    // their round trips.
-    fn durability(&self) -> gadget_kv::Durability {
-        self.0.durability()
-    }
-    fn batch_waits_off_cpu(&self) -> bool {
-        self.0.batch_waits_off_cpu()
     }
 }
 
@@ -701,8 +503,8 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     // Validate flags before the (possibly slow) trace load.
     let replayer = TraceReplayer::new(replay_options(flags)?);
     let trace = Trace::load(trace_path).map_err(|e| format!("cannot read {trace_path}: {e}"))?;
-    let (store, sharded) =
-        open_store_maybe_sharded(label, flags.optional("dir"), shard_count(flags)?)?;
+    let opened = open_store(label, flags)?;
+    let (store, sharded) = (&opened.store, &opened.sharded);
     // `--reshard-at frac:from:to` arms a live topology change at that
     // fraction of the replayed ops: the migration runs on a background
     // thread while the replay keeps issuing traffic, so the latency
@@ -733,9 +535,10 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     // (its sampler emits the foreground op spans); untraced runs keep
     // the raw store.
     let trace_out = flags.optional("trace-out");
-    let run_store: Box<dyn gadget_kv::StateStore> = match trace_out {
-        Some(_) => Box::new(gadget_kv::ObservedStore::new(ArcStore(op_store.clone()))),
-        None => Box::new(ArcStore(op_store)),
+    let observed = trace_out.map(|_| gadget_kv::ObservedStore::new(op_store.clone()));
+    let run_store: &dyn StateStore = match &observed {
+        Some(observed) => observed,
+        None => op_store.as_ref(),
     };
     let session = trace_out.map(|_| gadget_obs::trace::start_session());
     // `--metrics-addr` needs an emitter too: its endpoint serves the
@@ -756,8 +559,8 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
         None => None,
     };
     let report = match emitter.as_mut() {
-        None => replayer.replay(&trace, run_store.as_ref(), trace_path),
-        Some(em) => replayer.replay_observed(&trace, run_store.as_ref(), trace_path, em),
+        None => replayer.replay(&trace, run_store, trace_path),
+        Some(em) => replayer.replay_observed(&trace, run_store, trace_path, em),
     }
     .map_err(|e| e.to_string())?;
     if let Some(resharding) = &resharding {
@@ -799,7 +602,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
             &report,
             store.metrics(),
             attribution.as_ref(),
-            transport_for_label(label),
+            opened.spec.transport(),
             sharded.as_deref().map(TopologyStamp::of_store),
         )?;
     }
@@ -820,9 +623,8 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .optional("backend")
         .or_else(|| flags.optional("store"))
         .ok_or("missing required flag --backend (or --store)")?;
-    let label = backend_label(raw).to_string();
-    let (store, sharded) =
-        open_store_maybe_sharded(&label, flags.optional("dir"), shard_count(flags)?)?;
+    let opened = open_store(raw, flags)?;
+    let (label, store, sharded) = (&opened.spec, &opened.store, &opened.sharded);
 
     let mut opts = SweepOptions {
         arrival: flags
@@ -960,7 +762,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     };
     let outcome = run_sweep(
         &trace,
-        &ArcStore(store.clone()),
+        store.as_ref(),
         &workload,
         &opts,
         Some(&mut progress),
@@ -974,7 +776,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     meta.threads = opts.replay_threads as u64;
     meta.shards = shard_count(flags)? as u64;
     meta.batch_size = opts.batch_size as u64;
-    meta.transport = transport_for_label(&label).to_string();
+    meta.transport = label.transport().to_string();
     meta.arrival = opts.arrival.name().to_string();
     if let Some(stamp) = sharded.as_deref().map(TopologyStamp::of_store) {
         meta.partition_digest = stamp.digest;
@@ -1003,17 +805,18 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
 
 fn cmd_online(flags: &Flags) -> Result<(), String> {
     let config = load_config(flags)?;
-    let label = flags.required("store")?;
-    let store = open_store_sharded(label, flags.optional("dir"), shard_count(flags)?)?;
+    let opened = open_store(flags.required("store")?, flags)?;
+    let store = &opened.store;
     // No input-trace flag on `online`, so the span timeline is plain
     // `--trace` (with `--trace-out` accepted as the replay-consistent
     // alias).
     let trace_out = flags
         .optional("trace")
         .or_else(|| flags.optional("trace-out"));
-    let run_store: Box<dyn gadget_kv::StateStore> = match trace_out {
-        Some(_) => Box::new(gadget_kv::ObservedStore::new(ArcStore(store.clone()))),
-        None => Box::new(ArcStore(store.clone())),
+    let observed = trace_out.map(|_| gadget_kv::ObservedStore::new(store.clone()));
+    let run_store: &dyn StateStore = match &observed {
+        Some(observed) => observed,
+        None => store.as_ref(),
     };
     let session = trace_out.map(|_| gadget_obs::trace::start_session());
     let mut emitter = match (flags.optional("metrics"), flags.optional("metrics-addr")) {
@@ -1037,12 +840,13 @@ fn cmd_online(flags: &Flags) -> Result<(), String> {
         None => None,
     };
     let options = replay_options(flags)?;
-    let report = match emitter.as_mut() {
-        None => run_online_with(&config, run_store.as_ref(), &config.operator, &options),
-        Some(em) => {
-            run_online_observed_with(&config, run_store.as_ref(), &config.operator, &options, em)
-        }
-    }
+    let report = run_online(
+        &config,
+        run_store,
+        &config.operator,
+        &options,
+        emitter.as_mut(),
+    )
     .map_err(|e| e.to_string())?;
     let mut attribution = None;
     if let Some(out) = trace_out {
@@ -1059,7 +863,7 @@ fn cmd_online(flags: &Flags) -> Result<(), String> {
             &report,
             store.metrics(),
             attribution.as_ref(),
-            transport_for_label(label),
+            opened.spec.transport(),
             None,
         )?;
     }
@@ -1070,10 +874,6 @@ fn cmd_online(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Store labels swept by `observe` when `--stores` is not given: the
-/// paper's four store classes.
-const OBSERVE_STORES: &str = "rocksdb-class,lethe-class,faster-class,berkeleydb-class";
-
 /// Runs one workload against a set of stores, sampling each store's
 /// internal metrics into a single JSON time series. Components in each
 /// snapshot are prefixed with the store label (`rocksdb-class.store`,
@@ -1081,7 +881,9 @@ const OBSERVE_STORES: &str = "rocksdb-class,lethe-class,faster-class,berkeleydb-
 fn cmd_observe(flags: &Flags) -> Result<(), String> {
     let config = load_config(flags)?;
     let metrics_path = flags.required("metrics")?;
-    let labels = flags.optional("stores").unwrap_or(OBSERVE_STORES);
+    // Without `--stores`, the paper's four store classes.
+    let all = gadget_bench::STORE_LABELS.join(",");
+    let labels = flags.optional("stores").unwrap_or(&all);
     let trace = config.run();
     let interval = sample_interval(flags, trace.len() as u64)?;
     let replayer = TraceReplayer::default();
@@ -1095,18 +897,21 @@ fn cmd_observe(flags: &Flags) -> Result<(), String> {
     // every failure.
     let mut failures: Vec<String> = Vec::new();
     for label in labels.split(',').map(str::trim).filter(|l| !l.is_empty()) {
-        let dir =
-            std::env::temp_dir().join(format!("gadget-observe-{}-{label}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = match open_store(label, dir.to_str()) {
-            Ok(store) => store,
+        let opened = StoreSpec::parse(label)
+            .map_err(|e| e.to_string())
+            .and_then(|spec| {
+                let dir = StoreDir::new(None).map_err(|e| e.to_string())?;
+                spec.open_in(dir, 1).map_err(|e| e.to_string())
+            });
+        let opened = match opened {
+            Ok(opened) => opened,
             Err(e) => {
                 eprintln!("{label}: {e}");
                 failures.push(format!("{label}: {e}"));
                 continue;
             }
         };
-        let observed = gadget_kv::ObservedStore::new(ArcStore(store));
+        let observed = gadget_kv::ObservedStore::new(opened.store.clone());
         let mut emitter = SnapshotEmitter::every(interval);
         match replayer.replay_observed(&trace, &observed, label, &mut emitter) {
             Ok(report) => println!(
@@ -1124,8 +929,6 @@ fn cmd_observe(flags: &Flags) -> Result<(), String> {
             }
             combined.points.push(point);
         }
-        drop(observed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
     write_series(metrics_path, &combined)?;
     if !failures.is_empty() {
@@ -1630,7 +1433,8 @@ fn cmd_concurrent(flags: &Flags) -> Result<(), String> {
     if traces.is_empty() {
         return Err("--traces requires at least one path".to_string());
     }
-    let store = open_store_sharded(label, flags.optional("dir"), shard_count(flags)?)?;
+    let opened = open_store(label, flags)?;
+    let store = &opened.store;
     // Concurrent runs have no sampling emitter; the live endpoint
     // serves the (shared) store's current internal metrics directly.
     let endpoint = match flags.optional("metrics-addr") {
@@ -1660,7 +1464,7 @@ fn cmd_concurrent(flags: &Flags) -> Result<(), String> {
                         report,
                         store.metrics(),
                         None,
-                        transport_for_label(label),
+                        opened.spec.transport(),
                         None,
                     )?;
                 }
@@ -1748,26 +1552,14 @@ fn cmd_dataset(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Friendly backend aliases for `serve`: the class labels are a
-/// mouthful when all you want is "an LSM".
-fn backend_label(raw: &str) -> &str {
-    match raw {
-        "lsm" => "rocksdb-class",
-        "hashlog" => "faster-class",
-        "btree" => "berkeleydb-class",
-        other => other,
-    }
-}
-
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let raw = flags
         .optional("backend")
         .or_else(|| flags.optional("store"))
         .ok_or("missing required flag --backend (or --store)")?;
-    let label = backend_label(raw).to_string();
     let addr = flags.optional("addr").unwrap_or("127.0.0.1:4547");
-    let (store, sharded) =
-        open_store_maybe_sharded(&label, flags.optional("dir"), shard_count(flags)?)?;
+    let opened = open_store(raw, flags)?;
+    let (label, sharded) = (&opened.spec, &opened.sharded);
     let mut config = gadget_server::ServerConfig::default();
     if let Some(depth) = flags.optional_parse::<usize>("queue-depth")? {
         if depth == 0 {
@@ -1785,7 +1577,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // `reshard`/`topology` control frames reach it.
     let server = match &sharded {
         Some(sharded) => gadget_server::Server::start_sharded(addr, sharded.clone(), config),
-        None => gadget_server::Server::start(addr, store, config),
+        None => gadget_server::Server::start(addr, opened.store.clone(), config),
     }
     .map_err(|e| e.to_string())?;
     // Exact line first so scripts can scrape the resolved port.
@@ -2028,25 +1820,15 @@ fn cmd_restore(flags: &Flags) -> Result<(), String> {
 // Crash-recovery harness (`gadget crash` / hidden `crash-child`).
 // ---------------------------------------------------------------------------
 
-/// Store aliases for crash mode. `lsm` maps to the shrunk sync-WAL
+/// Store labels for crash mode. `lsm` maps to the shrunk sync-WAL
 /// config rather than the paper-scale one so WAL activity (group
 /// commit, rotation, flush) actually fires within a few thousand ops;
-/// the other aliases match `serve`.
+/// every other label and alias means what it means elsewhere.
 fn crash_label(raw: &str) -> &str {
     match raw {
         "lsm" => "rocksdb-small",
-        other => backend_label(other),
+        other => other,
     }
-}
-
-/// Deterministic splitmix64 step, for seeded kill-point jitter across
-/// repeated crash cycles.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The newest WAL segment (`wal_<gen>.log`, highest generation) in
@@ -2143,14 +1925,16 @@ fn run_crash_child(flags: &Flags) -> Result<(), String> {
     let trace_path = flags.required("trace")?;
     let trace = Trace::load(trace_path).map_err(|e| format!("cannot read {trace_path}: {e}"))?;
     let label = crash_label(flags.required("store")?);
-    let dir = flags.required("dir")?;
+    // The parent recovers from this directory; a scratch one would vanish.
+    flags.required("dir")?;
     let kill_at: u64 = flags
         .optional_parse("kill-at")?
         .ok_or("missing required flag --kill-at")?;
     let batch: usize = flags.optional_parse("batch-size")?.unwrap_or(1).max(1);
     let checkpoint_at: Option<u64> = flags.optional_parse("checkpoint-at")?;
     let acks_path = flags.required("acks")?;
-    let (store, _) = open_store_maybe_sharded(label, Some(dir), shard_count(flags)?)?;
+    let opened = open_store(label, flags)?;
+    let store = &opened.store;
     let replayer = TraceReplayer::new(ReplayOptions::default());
     let mut acks =
         std::fs::File::create(acks_path).map_err(|e| format!("cannot create {acks_path}: {e}"))?;
@@ -2270,7 +2054,7 @@ fn verify_recovered_prefix(
 /// stores honestly report everything since the last checkpoint.
 fn cmd_crash(flags: &Flags) -> Result<(), String> {
     let raw_label = flags.required("store")?;
-    let label = crash_label(raw_label).to_string();
+    let spec = StoreSpec::parse(crash_label(raw_label)).map_err(|e| e.to_string())?;
     let seed: u64 = flags.optional_parse("seed")?.unwrap_or(42);
     let crashes: u64 = flags.optional_parse("crashes")?.unwrap_or(1).max(1);
     let batch: usize = flags.optional_parse("batch-size")?.unwrap_or(1).max(1);
@@ -2301,14 +2085,15 @@ fn cmd_crash(flags: &Flags) -> Result<(), String> {
     // a torn page file is undefined, so crash runs must recover from a
     // checkpoint. (hashlog and mem reopen empty — a legal, honestly
     // huge loss window — so they are allowed without one.)
-    if label == "berkeleydb-class" && checkpoint_frac.is_none() {
+    if spec == StoreSpec::Embedded(Backend::BerkeleyDb) && checkpoint_frac.is_none() {
         return Err(
             "btree has no WAL; crash recovery needs --checkpoint-at-frac to recover from"
                 .to_string(),
         );
     }
-    let workdir = store_dir(flags.optional("dir"));
-    std::fs::create_dir_all(&workdir).map_err(|e| e.to_string())?;
+    // Without `--dir`, a scratch directory removed when the run ends.
+    let workdir = StoreDir::new(flags.optional("dir").map(Path::new)).map_err(|e| e.to_string())?;
+    let workdir = workdir.path();
 
     // The trace: user-provided or a generated update-heavy YCSB A.
     // Either way the exact op list replayed is saved to the workdir so
@@ -2348,7 +2133,7 @@ fn cmd_crash(flags: &Flags) -> Result<(), String> {
         // cycle 0 without the flag) draw a seeded point in [0.1, 0.9].
         let frac = match (cycle, kill_frac) {
             (0, Some(f)) => f,
-            _ => 0.1 + 0.8 * (splitmix64(&mut rng) as f64 / u64::MAX as f64),
+            _ => 0.1 + 0.8 * (gadget_types::splitmix64(&mut rng) as f64 / u64::MAX as f64),
         };
         let kill_at = ((total as f64 * frac) as u64).clamp(1, total - 1);
         let checkpoint_at = checkpoint_frac.map(|f| ((total as f64 * f) as u64).min(kill_at - 1));
@@ -2388,13 +2173,19 @@ fn cmd_crash(flags: &Flags) -> Result<(), String> {
             .map_err(|e| format!("cannot spawn crash child: {e}"))?;
         child_secs = started.elapsed().as_secs_f64();
         if marker_path.exists() || out.status.success() {
+            // The child prints its error to stderr as well as to the
+            // marker: show it once, and stderr only when it adds to it.
             let detail = std::fs::read_to_string(&marker_path).unwrap_or_default();
-            return Err(format!(
-                "crash child did not crash (status {}): {}{}",
+            let mut message = format!(
+                "crash child did not crash (status {}): {}",
                 out.status,
-                detail.trim(),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
+                detail.trim()
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            if !stderr.trim().is_empty() && stderr.trim() != detail.trim() {
+                message.push_str(&format!("; child stderr: {}", stderr.trim()));
+            }
+            return Err(message);
         }
 
         // The last complete 8-byte record is the index of the last op
@@ -2442,12 +2233,9 @@ fn cmd_crash(flags: &Flags) -> Result<(), String> {
         } else {
             (db_dir.clone(), wal_bytes_under(&db_dir))
         };
-        let recover_str = recover_dir
-            .to_str()
-            .ok_or("non-UTF-8 working directory")?
-            .to_string();
         let started = std::time::Instant::now();
-        let (recovered, _) = open_store_maybe_sharded(&label, Some(&recover_str), shards)?;
+        let dir = StoreDir::new(Some(&recover_dir)).map_err(|e| e.to_string())?;
+        let recovered = spec.open_in(dir, shards).map_err(|e| e.to_string())?.store;
         if checkpoint_restored {
             recovered
                 .restore(&ckpt_dir)
@@ -2522,17 +2310,7 @@ fn cmd_crash(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_stores() -> Result<(), String> {
-    println!("available store labels:");
-    println!("  rocksdb-class     LSM tree with lazy merge operator (gadget-lsm)");
-    println!("  lethe-class       LSM tree with delete-aware compaction (gadget-lsm)");
-    println!("  faster-class      hash index over a record log (gadget-hashlog)");
-    println!("  berkeleydb-class  page-cached B+Tree (gadget-btree)");
-    println!(
-        "  rocksdb-small     shrunk LSM (tiny memtable/cache, sync WAL) for traced smoke runs"
-    );
-    println!("  mem               reference in-memory hash map (gadget-kv)");
-    println!("  remote-<label>    any of the above behind a synthetic datacenter network");
-    println!("  net:<host:port>   a running `gadget serve` instance, over real TCP");
+    println!("{}", gadget_bench::store::store_list());
     Ok(())
 }
 
@@ -2887,7 +2665,7 @@ mod tests {
             .save(&trace_path)
             .unwrap();
         // rocksdb-small runs with wal_sync=true: batching must reach the
-        // LSM's native apply_batch through ArcStore + ObservedStore so
+        // LSM's native apply_batch through the shared store handle so
         // fsyncs are amortized over whole batches.
         dispatch(&strs(&[
             "replay",
@@ -3113,40 +2891,6 @@ mod tests {
         assert!(dispatch(&strs(&["report"])).is_err());
         assert!(dispatch(&strs(&["report", "frob"])).is_err());
         assert!(dispatch(&strs(&["report", "show"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_labels_overlap_only_shards_that_wait_off_cpu() {
-        let dir = std::env::temp_dir().join(format!("gadget-cli-wait-{}", std::process::id()));
-        let server = gadget_server::Server::start(
-            "127.0.0.1:0",
-            std::sync::Arc::new(gadget_kv::MemStore::new()),
-            gadget_server::ServerConfig::default(),
-        )
-        .unwrap();
-        let addr = server.local_addr().to_string();
-        let sync_wal = gadget_kv::Durability::WalBacked { sync: true };
-        for (label, waits) in [
-            ("mem", false),
-            ("faster-class", false),
-            ("berkeleydb-class", false),
-            ("rocksdb-class", false),
-            ("rocksdb-small", true),
-            ("remote-faster-class", true),
-            ("remote-rocksdb-small", true),
-            (&format!("net:{addr}"), true),
-        ] {
-            let shard_dir = dir.join(label.replace(':', "_"));
-            let store = open_store_sharded(label, shard_dir.to_str(), 2).unwrap();
-            assert_eq!(store.batch_waits_off_cpu(), waits, "{label}");
-            if label.ends_with("rocksdb-small") {
-                // The remote wrapper reaches the LSM through `ArcStore`.
-                assert_eq!(store.durability(), sync_wal, "{label}");
-            }
-        }
-        dispatch(&strs(&["stop", "--addr", &addr])).unwrap();
-        server.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

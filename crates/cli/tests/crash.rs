@@ -172,3 +172,51 @@ fn btree_without_checkpoint_is_rejected() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn remote_store_checkpoints_and_restores() {
+    // The simulated network wrapper forwards checkpoint/restore to the
+    // LSM it wraps.
+    let dir = tmp("remote-ckpt");
+    let report = run_crash(
+        &dir,
+        &[
+            "--store",
+            "remote-rocksdb-small",
+            "--checkpoint-at-frac",
+            "0.3",
+            "--kill-at-frac",
+            "0.6",
+        ],
+    );
+    let r = report.recovery.expect("recovery section");
+    assert!(r.checkpoint_restored);
+    assert_eq!(r.kill_at_op, 360);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_child_reports_its_error_once() {
+    let dir = tmp("net-refused");
+    let out = gadget()
+        .args([
+            "crash",
+            "--store",
+            "net:127.0.0.1:1",
+            "--ops",
+            "500",
+            "--dir",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn gadget");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("crash child did not crash"), "{stderr}");
+    assert_eq!(
+        stderr.matches("os error").count(),
+        1,
+        "the child's error should appear once: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -171,12 +171,10 @@ impl ScrambledZipfian {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
+/// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash (one
+/// [`gadget_types::splitmix64`] step from state `z`).
 pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    gadget_types::splitmix64(&mut z)
 }
 
 impl KeyDistribution for ScrambledZipfian {

@@ -4,6 +4,7 @@ use bytes::Bytes;
 use gadget_obs::{Counter, MetricsRegistry, MetricsSnapshot};
 use gadget_types::Op;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::durability::{CheckpointManifest, Durability};
 use crate::error::StoreError;
@@ -214,6 +215,65 @@ pub trait StateStore: Send + Sync {
     }
 }
 
+/// A shared store is a store: every method forwards to the pointee, so
+/// wrappers take an `Arc` directly and no method can silently fall back
+/// to a trait default (op-by-op batches, `Ephemeral` durability,
+/// `Unsupported` checkpoints).
+///
+/// Pass `store.as_ref()` where a `&dyn StateStore` is wanted: `&store`
+/// would make a trait object of the `Arc` and add a second virtual call
+/// per operation.
+impl<S: StateStore + ?Sized> StateStore for Arc<S> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn get(&self, key: &[u8]) -> Result<Option<Bytes>, StoreError> {
+        (**self).get(key)
+    }
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        (**self).put(key, value)
+    }
+    fn merge(&self, key: &[u8], operand: &[u8]) -> Result<(), StoreError> {
+        (**self).merge(key, operand)
+    }
+    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        (**self).delete(key)
+    }
+    fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
+        (**self).scan(lo, hi)
+    }
+    fn supports_scan(&self) -> bool {
+        (**self).supports_scan()
+    }
+    fn supports_merge(&self) -> bool {
+        (**self).supports_merge()
+    }
+    fn flush(&self) -> Result<(), StoreError> {
+        (**self).flush()
+    }
+    fn internal_counters(&self) -> Vec<(String, u64)> {
+        (**self).internal_counters()
+    }
+    fn metrics(&self) -> Option<MetricsSnapshot> {
+        (**self).metrics()
+    }
+    fn durability(&self) -> Durability {
+        (**self).durability()
+    }
+    fn batch_waits_off_cpu(&self) -> bool {
+        (**self).batch_waits_off_cpu()
+    }
+    fn checkpoint(&self, dir: &Path) -> Result<CheckpointManifest, StoreError> {
+        (**self).checkpoint(dir)
+    }
+    fn restore(&self, dir: &Path) -> Result<(), StoreError> {
+        (**self).restore(dir)
+    }
+    fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
+        (**self).apply_batch(batch)
+    }
+}
+
 /// Cheap atomic operation counters shared by store implementations.
 ///
 /// Stores embed one of these and bump it per public operation so reports
@@ -297,5 +357,137 @@ mod tests {
         let snap = c.snapshot();
         assert!(snap.contains(&("gets".to_string(), 2)));
         assert!(snap.contains(&("puts".to_string(), 1)));
+    }
+
+    /// Answers every method with a value no trait default gives and
+    /// records which methods were called.
+    #[derive(Default)]
+    struct Probe {
+        calls: std::sync::Mutex<Vec<&'static str>>,
+    }
+
+    impl Probe {
+        fn hit(&self, method: &'static str) {
+            self.calls.lock().unwrap().push(method);
+        }
+    }
+
+    impl StateStore for Probe {
+        fn name(&self) -> &'static str {
+            self.hit("name");
+            "probe"
+        }
+        fn get(&self, _: &[u8]) -> Result<Option<Bytes>, StoreError> {
+            self.hit("get");
+            Ok(Some(Bytes::from_static(b"v")))
+        }
+        fn put(&self, _: &[u8], _: &[u8]) -> Result<(), StoreError> {
+            self.hit("put");
+            Ok(())
+        }
+        fn merge(&self, _: &[u8], _: &[u8]) -> Result<(), StoreError> {
+            self.hit("merge");
+            Ok(())
+        }
+        fn delete(&self, _: &[u8]) -> Result<(), StoreError> {
+            self.hit("delete");
+            Ok(())
+        }
+        fn scan(&self, _: &[u8], _: &[u8]) -> Result<Vec<(Bytes, Bytes)>, StoreError> {
+            self.hit("scan");
+            Ok(Vec::new())
+        }
+        fn supports_scan(&self) -> bool {
+            self.hit("supports_scan");
+            true
+        }
+        fn supports_merge(&self) -> bool {
+            self.hit("supports_merge");
+            true
+        }
+        fn flush(&self) -> Result<(), StoreError> {
+            self.hit("flush");
+            Ok(())
+        }
+        fn internal_counters(&self) -> Vec<(String, u64)> {
+            self.hit("internal_counters");
+            vec![("probe".to_string(), 1)]
+        }
+        fn metrics(&self) -> Option<MetricsSnapshot> {
+            self.hit("metrics");
+            Some(MetricsSnapshot::default())
+        }
+        fn durability(&self) -> Durability {
+            self.hit("durability");
+            Durability::WalBacked { sync: true }
+        }
+        fn batch_waits_off_cpu(&self) -> bool {
+            self.hit("batch_waits_off_cpu");
+            true
+        }
+        fn checkpoint(&self, _: &Path) -> Result<CheckpointManifest, StoreError> {
+            self.hit("checkpoint");
+            Ok(CheckpointManifest::new("probe"))
+        }
+        fn restore(&self, _: &Path) -> Result<(), StoreError> {
+            self.hit("restore");
+            Ok(())
+        }
+        fn apply_batch(&self, batch: &[Op]) -> Result<Vec<BatchResult>, StoreError> {
+            self.hit("apply_batch");
+            Ok(vec![BatchResult::Applied; batch.len()])
+        }
+    }
+
+    #[test]
+    fn arc_forwards_every_method() {
+        let probe = Arc::new(Probe::default());
+        // Through a generic bound, so each call resolves to the `Arc`
+        // impl rather than auto-dereferencing to the probe.
+        fn exercise<S: StateStore>(s: &S) {
+            let dir = Path::new("unused");
+            assert_eq!(s.name(), "probe");
+            assert!(s.get(b"k").unwrap().is_some());
+            s.put(b"k", b"v").unwrap();
+            s.merge(b"k", b"v").unwrap();
+            s.delete(b"k").unwrap();
+            s.scan(b"a", b"z").unwrap();
+            assert!(s.supports_scan());
+            assert!(s.supports_merge());
+            s.flush().unwrap();
+            assert_eq!(s.internal_counters().len(), 1);
+            assert!(s.metrics().is_some());
+            assert_eq!(s.durability(), Durability::WalBacked { sync: true });
+            assert!(s.batch_waits_off_cpu());
+            s.checkpoint(dir).unwrap();
+            s.restore(dir).unwrap();
+            let batch = [Op::put(b"k".to_vec(), b"v".to_vec())];
+            assert_eq!(s.apply_batch(&batch).unwrap(), vec![BatchResult::Applied]);
+        }
+        exercise(&probe);
+        let shared: Arc<dyn StateStore> = probe.clone();
+        exercise(&shared);
+        let expected = [
+            "name",
+            "get",
+            "put",
+            "merge",
+            "delete",
+            "scan",
+            "supports_scan",
+            "supports_merge",
+            "flush",
+            "internal_counters",
+            "metrics",
+            "durability",
+            "batch_waits_off_cpu",
+            "checkpoint",
+            "restore",
+            "apply_batch",
+        ];
+        let calls = probe.calls.lock().unwrap();
+        assert_eq!(calls.len(), 2 * expected.len());
+        assert_eq!(&calls[..expected.len()], &expected[..]);
+        assert_eq!(&calls[expected.len()..], &expected[..]);
     }
 }

@@ -13,8 +13,8 @@
 //! * [`run_concurrent`] — the concurrent-operators experiment (§6.4):
 //!   several workloads hammer one shared store instance from separate
 //!   threads.
-//! * [`TraceReplayer::replay_observed`] / [`run_online_observed`] — the
-//!   same runs with periodic metrics sampling into a
+//! * [`TraceReplayer::replay_observed`] / [`run_online`] with an
+//!   emitter — the same runs with periodic metrics sampling into a
 //!   [`SnapshotEmitter`](gadget_obs::SnapshotEmitter) time series.
 //! * [`openloop`] — coordinated-omission-safe pacing: seeded
 //!   constant-rate and Poisson arrival schedules whose latency is
@@ -35,8 +35,8 @@ pub mod sweep;
 pub use histogram::LatencyHistogram;
 pub use openloop::{ArrivalMode, Pacer};
 pub use replayer::{
-    run_concurrent, run_online, run_online_observed, run_online_observed_with, run_online_with,
-    ConcurrentRunError, Measured, ReplayOptions, RunReport, TraceReplayer, DEFAULT_ARRIVAL_SEED,
+    run_concurrent, run_online, ConcurrentRunError, Measured, ReplayOptions, RunReport,
+    TraceReplayer, DEFAULT_ARRIVAL_SEED,
 };
 pub use reshard::{ReshardPlan, ReshardingStore};
 pub use sweep::{run_sweep, RateStep, SweepOptions, SweepOutcome};

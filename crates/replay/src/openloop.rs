@@ -21,6 +21,8 @@
 
 use std::time::{Duration, Instant};
 
+use gadget_types::unit_f64;
+
 /// How operations arrive at the store during a paced replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArrivalMode {
@@ -74,22 +76,6 @@ impl std::fmt::Display for ArrivalMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// splitmix64 step — the standard 64-bit mixer. Local copy so the
-/// schedule stream needs no RNG dependency and stays bit-identical
-/// across platforms.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform draw in `[0, 1)` from the top 53 bits of a splitmix64 step.
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The intended-arrival-offset stream for one replay loop, in

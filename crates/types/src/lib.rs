@@ -12,18 +12,22 @@
 //!   replayed against a store.
 //! * [`Op`] / [`OpBatch`] — materialized operations (with payload bytes)
 //!   grouped into batches for `StateStore::apply_batch`.
+//! * [`splitmix64`] / [`unit_f64`] — the one seeded mixer behind every
+//!   deterministic stream (arrival schedules, churn, crash kill points).
 //!
 //! Everything here is plain data: no I/O beyond trace (de)serialization, no
-//! randomness, no store logic.
+//! randomness beyond the seeded mixer, no store logic.
 
 pub mod batch;
 pub mod event;
+pub mod mix;
 pub mod op;
 pub mod time;
 pub mod trace;
 
 pub use batch::{Op, OpBatch};
 pub use event::{Event, StreamElement, StreamId};
+pub use mix::{splitmix64, unit_f64};
 pub use op::{OpType, StateAccess, StateKey};
 pub use time::Timestamp;
 pub use trace::{Trace, TraceStats};

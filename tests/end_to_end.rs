@@ -136,7 +136,8 @@ fn online_and_offline_modes_agree() {
     let cfg = synthetic(OperatorKind::TumblingHol, 2_000);
     let offline = cfg.run();
     let store = MemStore::new();
-    let online = gadget::replay::run_online(&cfg, &store, "hol").unwrap();
+    let online =
+        gadget::replay::run_online(&cfg, &store, "hol", &ReplayOptions::default(), None).unwrap();
     assert_eq!(online.operations, offline.len() as u64);
     // Online mode also cleans up window state.
     assert!(store.is_empty());
